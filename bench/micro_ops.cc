@@ -28,7 +28,6 @@
 #include "sim/worker.hh"
 #include "trace/spec_profiles.hh"
 #include "util/rng.hh"
-#include "util/simd.hh"
 
 namespace
 {
@@ -125,12 +124,12 @@ BM_LruCacheAccess(benchmark::State &state)
 }
 BENCHMARK(BM_LruCacheAccess);
 
+/** A full simulated instruction on the engine the runner uses. */
 void
-simulatedInstruction(benchmark::State &state, bool force_virtual)
+BM_SimulatedInstruction(benchmark::State &state)
 {
     HierarchyConfig hcfg;
-    Engine eng = makeEngine(PolicyKind::Sampler, hcfg, CoreConfig{},
-                            {}, force_virtual);
+    Engine eng = makeEngine(PolicyKind::Sampler, hcfg, CoreConfig{});
     SyntheticWorkload workload(specProfile("456.hmmer"));
     // Use run() in chunks so the benchmark measures steady state.
     std::vector<AccessGenerator *> gens = {&workload};
@@ -138,43 +137,7 @@ simulatedInstruction(benchmark::State &state, bool force_virtual)
         eng.system->run(gens, 0, 10000);
     state.SetItemsProcessed(state.iterations() * 10000);
 }
-
-/** The default (sealed fast-path) engine, as the runner uses it. */
-void
-BM_SimulatedInstruction(benchmark::State &state)
-{
-    simulatedInstruction(state, false);
-}
 BENCHMARK(BM_SimulatedInstruction)->Unit(benchmark::kMillisecond);
-
-/**
- * The same sealed engine with the scan-kernel path pinned: /simd is
- * the AVX2 kernels (where available), /scalar forces the reference
- * scans — the in-process equivalent of SDBP_NO_SIMD=1.  Their delta
- * is the end-to-end worth of the vector set scan.
- */
-void
-simulatedInstructionSimd(benchmark::State &state, bool simd_on)
-{
-    const bool prev = simd::setEnabledForTest(simd_on);
-    simulatedInstruction(state, false);
-    simd::setEnabledForTest(prev);
-}
-BENCHMARK_CAPTURE(simulatedInstructionSimd, simd, true)
-    ->Name("BM_SimulatedInstruction/simd")
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(simulatedInstructionSimd, scalar, false)
-    ->Name("BM_SimulatedInstruction/scalar")
-    ->Unit(benchmark::kMillisecond);
-
-/** The type-erased reference stack (SDBP_NO_FASTPATH route). */
-void
-BM_SimulatedInstructionVirtual(benchmark::State &state)
-{
-    simulatedInstruction(state, true);
-}
-BENCHMARK(BM_SimulatedInstructionVirtual)
-    ->Unit(benchmark::kMillisecond);
 
 } // anonymous namespace
 

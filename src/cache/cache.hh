@@ -13,10 +13,10 @@
  *
  * The class splits into a non-template CacheBase (geometry, stats,
  * cold operations) and BasicCache<P>, which binds the policy type at
- * compile time: with a final policy class the per-access hook calls
- * devirtualize and inline.  `Cache` is the type-erased alias
- * BasicCache<ReplacementPolicy> — the extension point and slow-path
- * fallback (DESIGN.md §12).
+ * compile time: with a final policy class (the private levels'
+ * LruPolicy) the per-access hook calls devirtualize and inline.
+ * `Cache` is BasicCache<ReplacementPolicy>, the LLC's composition:
+ * any policy plugs in through the virtual interface (DESIGN.md §12).
  */
 
 #ifndef SDBP_CACHE_CACHE_HH
@@ -33,10 +33,8 @@
 #include "cache/policy.hh"
 #include "obs/trace_sink.hh"
 #include "trace/access.hh"
-#include "util/arena.hh"
 #include "util/hotpath.hh"
 #include "util/logging.hh"
-#include "util/simd.hh"
 
 namespace sdbp
 {
@@ -190,29 +188,21 @@ class CacheBase
      */
     void auditInvariants() const;
 
-    /** Probe of one set (vectorized scan); -1 when absent. */
+    /**
+     * Probe of one set; -1 when absent.  One branchless pass over the
+     * tag lane: the sentinel encoding makes invalid frames compare
+     * unequal for free, and the no-duplicate-tag invariant makes
+     * "last match wins" the only match.
+     */
     SDBP_HOT_PATH int
     findWay(std::uint32_t set, Addr block_addr) const
     {
         const Addr *tags =
             &tags_[static_cast<std::size_t>(set) * cfg_.assoc];
-        return simd::findTag(tags, cfg_.assoc, block_addr);
-    }
-
-    /**
-     * Pull the set lanes an upcoming access to @p block_addr will
-     * touch into the host cache: the tag lane always, the state lane
-     * when it shares no cache line with the tags.  Read-only hint; no
-     * simulated state changes (DESIGN.md §15).
-     */
-    SDBP_HOT_PATH SDBP_ALWAYS_INLINE void
-    prefetchSet(Addr block_addr) const
-    {
-        const std::size_t base =
-            static_cast<std::size_t>(setIndex(block_addr)) *
-            cfg_.assoc;
-        __builtin_prefetch(&tags_[base], 0, 3);
-        __builtin_prefetch(&state_[base], 0, 3);
+        int way = -1;
+        for (std::uint32_t w = 0; w < cfg_.assoc; ++w)
+            way = tags[w] == block_addr ? static_cast<int>(w) : way;
+        return way;
     }
 
   protected:
@@ -242,17 +232,15 @@ class CacheBase
 
     CacheConfig cfg_;
     CacheStats stats_;
-    /** Hot lanes: tag (kNoBlock = invalid) and packed state bits.
-     *  Arena-backed when the cache is built under an ArenaScope, so
-     *  a run's lanes pack into one slab in walk order. */
-    ArenaVector<Addr> tags_;
-    ArenaVector<std::uint8_t> state_;
+    /** Hot lanes: tag (kNoBlock = invalid) and packed state bits. */
+    std::vector<Addr> tags_;
+    std::vector<std::uint8_t> state_;
     /** Cold lane: miss-path / reporting data only. */
-    ArenaVector<FrameMeta> meta_;
+    std::vector<FrameMeta> meta_;
     obs::TraceSink *trace_ = nullptr;
     /** Per-frame accumulated live/total time (trackEfficiency). */
-    ArenaVector<double> frameLive_;
-    ArenaVector<double> frameTotal_;
+    std::vector<double> frameLive_;
+    std::vector<double> frameTotal_;
 
   private:
     /** The policy as seen through the virtual interface (cold ops). */
@@ -281,24 +269,6 @@ class BasicCache final : public CacheBase
     const P &typedPolicy() const { return *policy_; }
 
     /**
-     * Prefetch every lane an upcoming access to @p block_addr will
-     * touch: the cache's tag/state lanes plus, when the bound policy
-     * exposes a prefetchSet(set) hint, its per-set recency lane.  The
-     * type-erased instantiation (P = ReplacementPolicy) compiles the
-     * policy half out — a virtual prefetch call would cost more than
-     * the miss it hides.
-     */
-    SDBP_HOT_PATH SDBP_ALWAYS_INLINE void
-    prefetchFor(Addr block_addr) const
-    {
-        prefetchSet(block_addr);
-        if constexpr (requires(const P &p, std::uint32_t s) {
-                          p.prefetchSet(s);
-                      })
-            policy_->prefetchSet(setIndex(block_addr));
-    }
-
-    /**
      * Demand or writeback lookup; updates policy and stats.
      *
      * @param now a monotonically increasing tick used for live/dead
@@ -312,13 +282,7 @@ class BasicCache final : public CacheBase
         const std::uint32_t set = setIndex(block);
         const std::size_t base =
             static_cast<std::size_t>(set) * cfg_.assoc;
-
-        // One contiguous scan of the tag lane; the sentinel encoding
-        // makes invalid frames compare unequal for free.  The scan is
-        // an AVX2 compare-and-movemask where available (scalar
-        // fallback otherwise); the set invariant (no duplicate tags)
-        // makes every scan order equivalent.
-        const int way = simd::findTag(&tags_[base], cfg_.assoc, block);
+        const int way = findWay(set, block);
 
         if (a.isWriteback)
             ++stats_.writebackAccesses;

@@ -13,11 +13,9 @@
  * The class splits into DeadBlockPolicyBase (stats, configuration,
  * fault injection, everything the runner and tools touch through the
  * virtual interface) and BasicDeadBlockPolicy<Inner, Pred>, which
- * binds the wrapped policy and predictor types at compile time so
- * the sealed engine compositions (DESIGN.md §12) run the whole
- * onAccess -> predictor -> inner chain without a virtual dispatch.
- * `DeadBlockPolicy` is the type-erased alias used by the factory's
- * slow path.
+ * binds the wrapped policy and predictor types at compile time.
+ * `DeadBlockPolicy` is the instantiation over the interfaces, the
+ * one the factory builds (DESIGN.md §12).
  */
 
 #ifndef SDBP_CACHE_DEAD_BLOCK_POLICY_HH
@@ -165,8 +163,8 @@ class DeadBlockPolicyBase : public ReplacementPolicy
 /**
  * DBRB with the wrapped policy and predictor types bound at compile
  * time.  With final Inner/Pred classes every hook below devirtualizes
- * into direct calls; with the interface types it is exactly the old
- * virtual chain (the factory's slow path).
+ * into direct calls; with the interface types (DeadBlockPolicy) each
+ * is one virtual call.
  */
 template <class Inner, class Pred>
 class BasicDeadBlockPolicy final : public DeadBlockPolicyBase
@@ -325,16 +323,6 @@ class BasicDeadBlockPolicy final : public DeadBlockPolicyBase
     rank(std::uint32_t set, std::uint32_t way) const override
     {
         return inner_->rank(set, way);
-    }
-
-    /** Forward the set-lane prefetch hint to the wrapped policy. */
-    SDBP_HOT_PATH SDBP_ALWAYS_INLINE void
-    prefetchSet(std::uint32_t set) const
-    {
-        if constexpr (requires(const Inner &p, std::uint32_t s) {
-                          p.prefetchSet(s);
-                      })
-            inner_->prefetchSet(set);
     }
 
   private:

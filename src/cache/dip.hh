@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "cache/lru.hh"
-#include "util/arena.hh"
 #include "util/rng.hh"
 
 namespace sdbp
@@ -70,7 +69,7 @@ class DipPolicy final : public ReplacementPolicy
   private:
     DipConfig cfg_;
     LruPolicy lru_;
-    ArenaVector<std::uint32_t> psel_;
+    std::vector<std::uint32_t> psel_;
     std::uint32_t pselMax_;
     std::uint32_t leaderPeriod_;
     Rng rng_;

@@ -11,8 +11,9 @@
  * BasicHierarchy<LlcP>, which binds the LLC policy type at compile
  * time.  The private L1/L2 levels are always true LRU in every
  * configuration, so they are hard-bound to BasicCache<LruPolicy> in
- * ALL instantiations — the whole per-access walk devirtualizes.
- * `Hierarchy` is the type-erased alias (virtual LLC policy dispatch).
+ * ALL instantiations — their part of the walk devirtualizes.
+ * `Hierarchy` is the instantiation the engine uses (virtual LLC
+ * policy dispatch).
  */
 
 #ifndef SDBP_CACHE_HIERARCHY_HH
@@ -75,8 +76,8 @@ struct HierarchyResult
 
 /**
  * LLC-policy-type-erased part of the hierarchy: everything off the
- * per-access path.  access() is virtual here as the slow-path entry;
- * the sealed engine drives the concrete BasicHierarchy directly.
+ * per-access path.  access() is virtual here for callers holding the
+ * base; BasicSystem drives the concrete BasicHierarchy directly.
  */
 class HierarchyBase
 {
@@ -150,8 +151,8 @@ class HierarchyBase
 
 /**
  * The hierarchy with the LLC policy type bound at compile time.  The
- * private levels are BasicCache<LruPolicy> regardless of LlcP, so a
- * sealed instantiation's demand path has no virtual call at all.
+ * private levels are BasicCache<LruPolicy> regardless of LlcP, so
+ * the L1/L2 part of every demand access runs without a virtual call.
  */
 template <class LlcP>
 class BasicHierarchy final : public HierarchyBase
@@ -191,21 +192,6 @@ class BasicHierarchy final : public HierarchyBase
     PrivateCache &l2(ThreadId core) { return *l2_[core]; }
     LlcCache &llc() { return *llc_; }
     const LlcCache &llc() const { return *llc_; }
-
-    /**
-     * Software-prefetch the set lanes a future access will touch.
-     * Issued by the system while it simulates access i of a batch
-     * for access i+k (DESIGN.md §15); a pure host-cache hint —
-     * simulated state is untouched.  L2 and LLC lanes only: a
-     * per-core L1's lanes (~10 KiB) are host-resident already, so
-     * hinting them costs issue slots and hides nothing.
-     */
-    SDBP_HOT_PATH SDBP_ALWAYS_INLINE void
-    prefetchAhead(Addr block, ThreadId core) const
-    {
-        l2_[core]->prefetchFor(block);
-        llc_->prefetchFor(block);
-    }
 
     SDBP_HOT_PATH HierarchyResult
     access(const Access &acc, std::uint64_t now) override

@@ -8,16 +8,20 @@ namespace sdbp
 {
 
 LruPolicy::LruPolicy(std::uint32_t num_sets, std::uint32_t assoc)
-    : ReplacementPolicy(num_sets, assoc), stamp_(num_sets * assoc),
-      scratch_(assoc), high_(num_sets, 0), low_(num_sets)
+    : ReplacementPolicy(num_sets, assoc), scratch_(assoc),
+      high_(num_sets, 0),
+      low_(num_sets, -static_cast<std::int64_t>(assoc - 1))
 {
     // Initial order: way w sits at stack position w, i.e. way 0 is
-    // MRU.  Stamps within a set must be distinct.
-    for (std::uint32_t s = 0; s < num_sets; ++s) {
-        for (std::uint32_t w = 0; w < assoc; ++w)
-            stamp_[s * assoc + w] = -static_cast<std::int64_t>(w);
-        low_[s] = -static_cast<std::int64_t>(assoc - 1);
-    }
+    // MRU.  Stamps within a set must be distinct.  Each set's stamps
+    // are written once, by copy: the LLC's lane is the largest a run
+    // builds, and constructing it runs once per sweep cell.
+    std::vector<std::int64_t> order(assoc);
+    for (std::uint32_t w = 0; w < assoc; ++w)
+        order[w] = -static_cast<std::int64_t>(w);
+    stamp_.reserve(static_cast<std::size_t>(num_sets) * assoc);
+    for (std::uint32_t s = 0; s < num_sets; ++s)
+        stamp_.insert(stamp_.end(), order.begin(), order.end());
 }
 
 void

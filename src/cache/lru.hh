@@ -22,9 +22,7 @@
 #include <vector>
 
 #include "cache/policy.hh"
-#include "util/arena.hh"
 #include "util/hotpath.hh"
-#include "util/simd.hh"
 
 namespace sdbp
 {
@@ -53,9 +51,14 @@ class LruPolicy final : public ReplacementPolicy
     {
         (void)frames;
         (void)a;
-        // SIMD min-reduce over the stamp lane; first-minimum
-        // semantics match the scalar strict-< walk exactly.
-        return simd::minStampIndex(&stamp_[set * assoc_], assoc_);
+        // The first minimum stamp; stamps within a set are distinct,
+        // so it is the unique least recently used way.
+        const auto *base = &stamp_[set * assoc_];
+        std::uint32_t lru = 0;
+        for (std::uint32_t w = 1; w < assoc_; ++w)
+            if (base[w] < base[lru])
+                lru = w;
+        return lru;
     }
 
     SDBP_HOT_PATH void
@@ -96,26 +99,16 @@ class LruPolicy final : public ReplacementPolicy
     void moveTo(std::uint32_t set, std::uint32_t way,
                 std::uint32_t target_pos);
 
-    /**
-     * Pull the set's stamp lane into the host cache ahead of an
-     * upcoming access (read hint; no state change).
-     */
-    SDBP_HOT_PATH SDBP_ALWAYS_INLINE void
-    prefetchSet(std::uint32_t set) const
-    {
-        __builtin_prefetch(&stamp_[set * assoc_], 0, 3);
-    }
-
   private:
     /** stamp_[set * assoc + way]: larger = more recently used. */
-    ArenaVector<std::int64_t> stamp_;
+    std::vector<std::int64_t> stamp_;
     /** Scratch way ordering for interior moveTo, allocated once so
      *  the hot path never touches the heap. */
-    ArenaVector<std::uint32_t> scratch_;
+    std::vector<std::uint32_t> scratch_;
     /** Per-set MRU clock (counts up). */
-    ArenaVector<std::int64_t> high_;
+    std::vector<std::int64_t> high_;
     /** Per-set LRU clock (counts down). */
-    ArenaVector<std::int64_t> low_;
+    std::vector<std::int64_t> low_;
 };
 
 } // namespace sdbp

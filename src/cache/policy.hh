@@ -96,10 +96,9 @@ class SetView
  * Abstract replacement (and bypass) policy for a set-associative
  * cache.
  *
- * This virtual interface is the extension point and the slow-path
- * fallback; the common policy stacks are also instantiated as sealed
- * compile-time compositions by sim/engine (DESIGN.md §12), which
- * calls the same hooks without the vtable.
+ * This virtual interface is how every LLC policy plugs into the
+ * engine (DESIGN.md §12); final classes bound at compile time (the
+ * private levels' LruPolicy) get the same hooks without the vtable.
  */
 class ReplacementPolicy
 {

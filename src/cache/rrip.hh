@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "cache/policy.hh"
-#include "util/arena.hh"
 #include "util/rng.hh"
 
 namespace sdbp
@@ -70,8 +69,8 @@ class RripPolicy final : public ReplacementPolicy
   private:
     RripConfig cfg_;
     unsigned rrpvMax_;
-    ArenaVector<std::uint8_t> rrpv_;
-    ArenaVector<std::uint32_t> psel_;
+    std::vector<std::uint8_t> rrpv_;
+    std::vector<std::uint32_t> psel_;
     std::uint32_t pselMax_;
     std::uint32_t leaderPeriod_;
     Rng rng_;

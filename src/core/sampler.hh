@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "core/skewed_table.hh"
-#include "util/arena.hh"
 #include "util/budget.hh"
 #include "util/hotpath.hh"
 #include "util/types.hh"
@@ -166,7 +165,7 @@ class Sampler
     std::uint64_t victimTick_ = 0;
 
     SamplerConfig cfg_;
-    ArenaVector<SamplerEntry> entries_;
+    std::vector<SamplerEntry> entries_;
     std::uint64_t hits_ = 0;
     std::uint64_t replacements_ = 0;
     std::uint64_t trainedEvictions_ = 0;

@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "util/arena.hh"
 #include "util/bitops.hh"
 #include "util/budget.hh"
 #include "util/hash.hh"
@@ -133,7 +132,7 @@ class SkewedTable
 
     SkewedTableConfig cfg_;
     unsigned counterMax_;
-    ArenaVector<std::uint8_t> counters_;
+    std::vector<std::uint8_t> counters_;
 };
 
 } // namespace sdbp

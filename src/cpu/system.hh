@@ -9,10 +9,10 @@
  *
  * Split into SystemBase (the type-erased face: one virtual call per
  * run(), not per access) and BasicSystem<LlcP>, which stacks the
- * matching BasicHierarchy so the whole per-instruction loop —
- * generator batch, core timing, L1/L2/LLC walk, policy and predictor
- * hooks — compiles as one devirtualized unit.  `System` is the
- * type-erased alias.
+ * matching BasicHierarchy so the per-instruction loop — generator
+ * batch, core timing, L1/L2/LLC walk — compiles as one unit, with
+ * virtual calls only into the LLC policy.  `System` is the
+ * instantiation the engine uses.
  *
  * Generators are consumed in ~1 KiB batches to amortize the virtual
  * nextBatch() dispatch (a generator's sole virtual primitive); after
@@ -111,6 +111,14 @@ class SystemBase
     std::uint64_t tick() const { return tick_; }
 
     /**
+     * Global tick at which the last run()'s measurement phase began:
+     * tick() - measureStartTick() counts every instruction that phase
+     * executed, including those of programs restarted after reaching
+     * their quota.
+     */
+    std::uint64_t measureStartTick() const { return measureStartTick_; }
+
+    /**
      * Register "sys.instructions" (the global tick), every core's
      * counters ("coreN.*") and the whole hierarchy.
      */
@@ -203,6 +211,7 @@ class SystemBase
     std::vector<CoreModel> cores_;
     std::vector<Batch> batch_;
     std::uint64_t tick_ = 0;
+    std::uint64_t measureStartTick_ = 0;
     /** Cycle at which the shared DRAM channel is next free. */
     Cycle memFree_ = 0;
 
@@ -248,18 +257,6 @@ class BasicSystem final : public SystemBase
         return hierarchy_;
     }
 
-    /**
-     * Batch read-ahead distance of the software prefetcher: while
-     * access i simulates, the set lanes of access i+k are requested.
-     * k must cover the per-record simulation latency (~20 host ns)
-     * against the ~100 ns lane-miss it hides, without running so far
-     * ahead that the hints are evicted before use; k = 8 measured
-     * best on the bench host (DESIGN.md §15).  Hints never cross a
-     * batch boundary, so no record is prefetched that the generator
-     * has not already produced.
-     */
-    static constexpr std::size_t kPrefetchDistance = 8;
-
     std::vector<ThreadRunResult>
     run(const std::vector<AccessGenerator *> &gens, InstCount warmup,
         InstCount measure) override
@@ -301,7 +298,7 @@ class BasicSystem final : public SystemBase
             std::uint32_t still_warming = n;
             while (still_warming > 0) {
                 const std::uint32_t c = next_core(warming);
-                step(c, fetchAndPrefetch(c, *gens[c]));
+                step(c, fetch(c, *gens[c]));
                 checkDeadline("warmup");
                 if (cores_[c].instructions() >= warmup) {
                     warming[c] = false;
@@ -324,7 +321,7 @@ class BasicSystem final : public SystemBase
         std::optional<obs::Profiler::Scope> prof;
         if (profiler_)
             prof.emplace(profiler_->scope("measure"));
-        const std::uint64_t measure_start = tick_;
+        measureStartTick_ = tick_;
 
         // Heartbeats only fire in this phase: warmup stats were just
         // cleared, so from here on every registered counter is
@@ -350,7 +347,7 @@ class BasicSystem final : public SystemBase
             AccessGenerator &gen = *gens[0];
             const InstCount target = start_insts[0] + measure;
             while (core.instructions() < target) {
-                step(0, fetchAndPrefetch(0, gen));
+                step(0, fetch(0, gen));
                 checkDeadline("measure");
                 if (tick_ >= next_beat) {
                     heartbeat_(tick_);
@@ -367,7 +364,7 @@ class BasicSystem final : public SystemBase
             if (heartbeatInterval_ > 0 && heartbeat_)
                 heartbeat_(tick_); // final partial interval
             if (profiler_)
-                profiler_->addEvents("measure", tick_ - measure_start);
+                profiler_->addEvents("measure", tick_ - measureStartTick_);
             return results;
         }
 
@@ -378,7 +375,7 @@ class BasicSystem final : public SystemBase
             // Finished cores keep running (restarted) to preserve
             // contention, so everyone is eligible.
             const std::uint32_t c = next_core(all);
-            step(c, fetchAndPrefetch(c, *gens[c]));
+            step(c, fetch(c, *gens[c]));
             checkDeadline("measure");
             if (tick_ >= next_beat) {
                 heartbeat_(tick_);
@@ -405,7 +402,7 @@ class BasicSystem final : public SystemBase
         if (heartbeatInterval_ > 0 && heartbeat_)
             heartbeat_(tick_); // final partial interval
         if (profiler_)
-            profiler_->addEvents("measure", tick_ - measure_start);
+            profiler_->addEvents("measure", tick_ - measureStartTick_);
         return results;
     }
 
@@ -414,12 +411,8 @@ class BasicSystem final : public SystemBase
     {
         const InstCount start_insts = cores_[0].instructions();
         const Cycle start_cycles = cores_[0].cycles();
-        for (std::size_t i = 0; i < trace.size(); ++i) {
-            if (i + kPrefetchDistance < trace.size()) {
-                hierarchy_.prefetchAhead(
-                    trace[i + kPrefetchDistance].blockAddr(), 0);
-            }
-            Access stamped = trace[i];
+        for (const Access &rec : trace) {
+            Access stamped = rec;
             stamped.thread = 0;
             step(0, stamped);
             checkDeadline("simulate");
@@ -433,25 +426,6 @@ class BasicSystem final : public SystemBase
     }
 
   private:
-    /**
-     * Fetch the next record and, while its simulation is about to
-     * run, request the set lanes record i+k of the same batch will
-     * touch.  Issued here rather than in fetch() because the
-     * prefetch targets live behind the bound hierarchy type.
-     */
-    SDBP_HOT_PATH const Access &
-    fetchAndPrefetch(std::uint32_t c, AccessGenerator &gen)
-    {
-        const Access &rec = fetch(c, gen);
-        const Batch &b = batch_[c];
-        // pos already advanced past the current record in fetch().
-        const std::size_t ahead = b.pos - 1 + kPrefetchDistance;
-        if (ahead < b.fill)
-            hierarchy_.prefetchAhead(b.records[ahead].blockAddr(),
-                                     static_cast<ThreadId>(c));
-        return rec;
-    }
-
     /** Advance core @p c by one trace record (rec.thread == c). */
     SDBP_HOT_PATH void
     step(std::uint32_t c, const Access &rec)

@@ -8,7 +8,7 @@
  *
  * Spans fire at *cell and phase granularity only* — one span per
  * sweep cell, one per warmup/measure phase — never per simulated
- * access, so the sealed hot path (DESIGN.md §12/§13) stays clean and
+ * access, so the hot path (DESIGN.md §12/§13) stays clean and
  * the tools/sdbp_lint `hot-span` rule rejects any emission reachable
  * from an SDBP_HOT_PATH root.
  *

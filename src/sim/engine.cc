@@ -1,148 +1,21 @@
 #include "sim/engine.hh"
 
-#include <algorithm>
-
-#include "cache/dip.hh"
-#include "cache/lru.hh"
-#include "cache/random_repl.hh"
-#include "cache/rrip.hh"
-#include "core/sdbp.hh"
-
 namespace sdbp
 {
 
-namespace
-{
-
-template <class P>
-Engine
-sealedPlain(const HierarchyConfig &hcfg, const CoreConfig &ccfg,
-            std::unique_ptr<P> policy)
-{
-    Engine e;
-    e.system = std::make_unique<BasicSystem<P>>(hcfg, ccfg,
-                                                std::move(policy));
-    e.fastPath = true;
-    return e;
-}
-
-template <class Inner>
-Engine
-sealedSampler(const HierarchyConfig &hcfg, const CoreConfig &ccfg,
-              std::unique_ptr<Inner> inner, const PolicyOptions &opts)
-{
-    using Dbrb =
-        BasicDeadBlockPolicy<Inner, SamplingDeadBlockPredictor>;
-    auto pred = std::make_unique<SamplingDeadBlockPredictor>(
-        resolveSdbpConfig(hcfg.llc.numSets, opts));
-    auto dbrb = std::make_unique<Dbrb>(std::move(inner),
-                                       std::move(pred), opts.dbrb);
-    Engine e;
-    e.dbrb = dbrb.get();
-    e.predictor = &dbrb->predictor();
-    e.faults = dbrb->faultInjector();
-    e.system = std::make_unique<BasicSystem<Dbrb>>(hcfg, ccfg,
-                                                   std::move(dbrb));
-    e.fastPath = true;
-    return e;
-}
-
-} // anonymous namespace
-
 Engine
 makeEngine(PolicyKind kind, const HierarchyConfig &hcfg,
-           const CoreConfig &ccfg, const PolicyOptions &opts,
-           bool force_virtual)
+           const CoreConfig &ccfg, const PolicyOptions &opts)
 {
-    const std::uint32_t sets = hcfg.llc.numSets;
-    const std::uint32_t assoc = hcfg.llc.assoc;
-
-    // Everything below — caches, policies, predictor — is built
-    // under this scope, so every storage lane bump-allocates from
-    // the engine's own arena, contiguous in construction (= walk)
-    // order.  The named helpers return before `e.arena` is attached;
-    // attachArena rebinds ownership without re-running construction.
-    auto arena = std::make_unique<Arena>();
-    ArenaScope scope(*arena);
-    const auto attachArena = [&arena](Engine e) {
-        e.arena = std::move(arena);
-        return e;
-    };
-
-    if (!force_virtual) {
-        switch (kind) {
-          case PolicyKind::Lru:
-            return attachArena(sealedPlain(
-                hcfg, ccfg,
-                std::make_unique<LruPolicy>(sets, assoc)));
-          case PolicyKind::Random:
-            return attachArena(sealedPlain(
-                hcfg, ccfg,
-                std::make_unique<RandomPolicy>(sets, assoc,
-                                               opts.seed)));
-          case PolicyKind::Sampler:
-            return attachArena(sealedSampler(
-                hcfg, ccfg,
-                std::make_unique<LruPolicy>(sets, assoc), opts));
-          case PolicyKind::RandomSampler:
-            return attachArena(sealedSampler(
-                hcfg, ccfg,
-                std::make_unique<RandomPolicy>(sets, assoc,
-                                               opts.seed),
-                opts));
-          // The insertion-policy family: configurations mirror
-          // makeBundle exactly (pinned by fastpath_test's sealed
-          // vs. virtual RunResult equality).
-          case PolicyKind::Dip: {
-            DipConfig cfg;
-            cfg.seed = opts.seed;
-            return attachArena(sealedPlain(hcfg, ccfg,
-                               std::make_unique<DipPolicy>(
-                                   sets, assoc, cfg)));
-          }
-          case PolicyKind::Tadip: {
-            DipConfig cfg;
-            cfg.numThreads =
-                std::max<std::uint32_t>(2, opts.numThreads);
-            cfg.seed = opts.seed;
-            return attachArena(sealedPlain(hcfg, ccfg,
-                               std::make_unique<DipPolicy>(
-                                   sets, assoc, cfg)));
-          }
-          case PolicyKind::Lip: {
-            // LIP: every fill goes to the LRU position.
-            DipConfig cfg;
-            cfg.seed = opts.seed;
-            cfg.staticBip = true;
-            cfg.bipEpsilonDenom = 1u << 30; // never insert at MRU
-            return attachArena(sealedPlain(hcfg, ccfg,
-                               std::make_unique<DipPolicy>(
-                                   sets, assoc, cfg)));
-          }
-          case PolicyKind::Rrip: {
-            RripConfig cfg;
-            cfg.numThreads = opts.numThreads;
-            cfg.seed = opts.seed;
-            return attachArena(sealedPlain(hcfg, ccfg,
-                               std::make_unique<RripPolicy>(
-                                   sets, assoc, cfg)));
-          }
-          default:
-            break;
-        }
-    }
-
-    // Type-erased stack: the extension point, and the reference the
-    // sealed compositions are tested against.
-    PolicyBundle b = makeBundle(kind, sets, assoc, opts);
+    PolicyBundle b = makeBundle(kind, hcfg.llc.numSets, hcfg.llc.assoc,
+                                opts);
     Engine e;
     e.dbrb = b.dbrb;
     e.predictor = b.predictor;
     e.faults = b.faultInjector;
     e.system = std::make_unique<System>(hcfg, ccfg,
                                         std::move(b.policy));
-    e.fastPath = false;
-    return attachArena(std::move(e));
+    return e;
 }
 
 } // namespace sdbp

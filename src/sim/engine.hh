@@ -1,24 +1,11 @@
 /**
  * @file
- * The hot-path engine: maps a PolicyKind onto a sealed, fully
- * devirtualized System composition when one exists, or onto the
- * type-erased (virtual-dispatch) stack otherwise (DESIGN.md §12).
- *
- * The sealed compositions cover the configurations the paper's
- * figures spend almost all their simulation time in:
- *
- *   LRU                  -> BasicSystem<LruPolicy>
- *   Random               -> BasicSystem<RandomPolicy>
- *   Sampler (DBRB/SDBP)  -> BasicSystem<BasicDeadBlockPolicy<
- *                               LruPolicy, SamplingDeadBlockPredictor>>
- *   Random Sampler       -> same with RandomPolicy inside
- *
- * Every other kind — and every kind when the caller forces the
- * virtual path — runs on BasicSystem<ReplacementPolicy>, the
- * extension point where user-supplied policies and predictors plug
- * in through the virtual interfaces.  Both paths execute the same
- * template code, so their simulated outcomes are bit-identical
- * (pinned by tests/fastpath_test.cc).
+ * The engine: maps a PolicyKind onto the simulated machine.  Every
+ * kind runs on System (= BasicSystem<ReplacementPolicy>): the
+ * private L1/L2 levels are bound to LruPolicy at compile time, and
+ * the LLC policy stack built by makeBundle plugs in through the
+ * virtual ReplacementPolicy / DeadBlockPredictor interfaces — the
+ * same extension point user-supplied policies use (DESIGN.md §12).
  */
 
 #ifndef SDBP_SIM_ENGINE_HH
@@ -28,7 +15,6 @@
 
 #include "cpu/system.hh"
 #include "sim/policy_factory.hh"
-#include "util/arena.hh"
 
 namespace sdbp
 {
@@ -40,14 +26,6 @@ namespace sdbp
  */
 struct Engine
 {
-    /**
-     * The run's bump arena: every fixed-size storage lane of the
-     * System below (cache lanes, policy recency lanes, sampler and
-     * table storage) lives in this slab.  First member on purpose —
-     * members destroy in reverse declaration order, so the arena
-     * outlives the System and every lane it backs (DESIGN.md §15).
-     */
-    std::unique_ptr<Arena> arena;
     std::unique_ptr<SystemBase> system;
     /** The DBRB wrapper, when `kind` is a DBRB technique. */
     DeadBlockPolicyBase *dbrb = nullptr;
@@ -55,20 +33,12 @@ struct Engine
     DeadBlockPredictor *predictor = nullptr;
     /** The fault injector, when fault injection is configured. */
     const fault::FaultInjector *faults = nullptr;
-    /** True when a sealed composition was selected. */
-    bool fastPath = false;
 };
 
-/**
- * Build the System for @p kind.
- *
- * @param force_virtual route even sealed kinds through the
- *        type-erased stack (equivalence testing, SDBP_NO_FASTPATH)
- */
+/** Build the System for @p kind. */
 Engine makeEngine(PolicyKind kind, const HierarchyConfig &hcfg,
                   const CoreConfig &ccfg,
-                  const PolicyOptions &opts = {},
-                  bool force_virtual = false);
+                  const PolicyOptions &opts = {});
 
 } // namespace sdbp
 

@@ -100,9 +100,8 @@ makePolicy(PolicyKind kind, std::uint32_t num_sets, std::uint32_t assoc,
 /**
  * The sampling predictor configuration a policy built by this
  * factory would use: opts.sdbp if set, else the paper default —
- * with llcSets pinned to @p num_sets either way.  Exported so the
- * sealed engine compositions (sim/engine) construct predictors
- * identical to the factory's.
+ * with llcSets pinned to @p num_sets either way.  Exported so code
+ * that builds a predictor directly gets the factory's configuration.
  */
 SdbpConfig resolveSdbpConfig(std::uint32_t num_sets,
                              const PolicyOptions &opts);

@@ -177,8 +177,6 @@ RunConfig::singleCore()
                  cfg.policy.dbrb.fault.faultsPerMillion, 0, 1'000'000);
     cfg.policy.dbrb.fault.seed =
         env::u64("SDBP_FAULT_SEED", cfg.policy.dbrb.fault.seed);
-    cfg.forceVirtualPath =
-        env::u64("SDBP_NO_FASTPATH", 0, 0, 1) != 0;
     return cfg;
 }
 
@@ -207,8 +205,7 @@ runSingleCoreWith(AccessGenerator &workload,
     cfg.hierarchy.llc.trackEfficiency = cfg.trackEfficiency;
     cfg.policy.numThreads = 1;
 
-    Engine eng = makeEngine(kind, cfg.hierarchy, cfg.core,
-                            cfg.policy, cfg.forceVirtualPath);
+    Engine eng = makeEngine(kind, cfg.hierarchy, cfg.core, cfg.policy);
     SystemBase &sys = *eng.system;
 
     RunResult res;
@@ -402,8 +399,7 @@ runMulticore(const MixProfile &mix, PolicyKind kind, RunConfig cfg)
     cfg.hierarchy.numCores = cores;
     cfg.policy.numThreads = cores;
 
-    Engine eng = makeEngine(kind, cfg.hierarchy, cfg.core,
-                            cfg.policy, cfg.forceVirtualPath);
+    Engine eng = makeEngine(kind, cfg.hierarchy, cfg.core, cfg.policy);
     SystemBase &sys = *eng.system;
 
     // Interval selection is a single-core methodology; a multi-core
@@ -451,7 +447,7 @@ runMulticore(const MixProfile &mix, PolicyKind kind, RunConfig cfg)
                                    res.hostPerf);
     }
     res.llcMisses = sys.hierarchy().llc().stats().demandMisses;
-    res.mpki = mpki(res.llcMisses, res.totalInstructions);
+    res.mpki = mpki(res.llcMisses, sys.tick() - sys.measureStartTick());
     if (eng.dbrb) {
         if (eng.faults)
             res.faultsInjected = eng.faults->injected();

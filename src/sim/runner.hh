@@ -54,14 +54,6 @@ struct RunConfig
     /** Track per-frame LLC efficiency (Fig. 1). */
     bool trackEfficiency = false;
     /**
-     * Route the run through the type-erased (virtual-dispatch)
-     * policy stack even when a sealed fast-path composition exists
-     * (sim/engine).  Outcomes are bit-identical either way; this
-     * exists for equivalence testing and as an escape hatch
-     * (SDBP_NO_FASTPATH=1).
-     */
-    bool forceVirtualPath = false;
-    /**
      * Where the reference stream comes from: the benchmark's
      * synthetic workload by default, or a trace file (native or
      * ChampSim), optionally simulated via interval selection
@@ -154,8 +146,11 @@ struct MulticoreRunResult
     std::vector<std::string> benchmarks;
     std::vector<double> ipc; ///< per thread
     std::uint64_t llcMisses = 0;
+    /** Each core's instructions up to its first completion. */
     InstCount totalInstructions = 0;
-    double mpki = 0; ///< misses per kilo-instruction, all threads
+    /** llcMisses per kilo-instruction over every instruction the
+     *  measurement phase executed, restarted programs included. */
+    double mpki = 0;
     /** Soft errors injected into predictor state (DESIGN.md §11). */
     std::uint64_t faultsInjected = 0;
     /** Run artifacts (when cfg.obs.collect). */

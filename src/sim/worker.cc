@@ -97,7 +97,6 @@ runConfigToJson(const RunConfig &cfg)
           std::uint64_t{cfg.measureInstructions});
     v.set("record_llc_trace", cfg.recordLlcTrace);
     v.set("track_efficiency", cfg.trackEfficiency);
-    v.set("force_virtual_path", cfg.forceVirtualPath);
 
     obs::JsonValue h = obs::JsonValue::object();
     h.set("l1", cacheToJson(cfg.hierarchy.l1));
@@ -194,8 +193,6 @@ runConfigFromJson(const obs::JsonValue &v)
         boolOr(v, "record_llc_trace", cfg.recordLlcTrace);
     cfg.trackEfficiency =
         boolOr(v, "track_efficiency", cfg.trackEfficiency);
-    cfg.forceVirtualPath =
-        boolOr(v, "force_virtual_path", cfg.forceVirtualPath);
 
     if (const obs::JsonValue *h = v.find("hierarchy")) {
         if (const obs::JsonValue *c = h->find("l1"))

@@ -79,7 +79,9 @@ struct ChaosSpec
 ChaosSpec chaosSpec();
 
 /** Scalar round-trip of a RunConfig so workers are self-contained
- *  (the blob travels in the manifest's top-level "config" field). */
+ *  (the blob travels in the manifest's top-level "config" field).
+ *  Absent keys keep their defaults and unknown keys are ignored, so
+ *  manifests written by older builds still load. */
 obs::JsonValue runConfigToJson(const RunConfig &cfg);
 RunConfig runConfigFromJson(const obs::JsonValue &v);
 

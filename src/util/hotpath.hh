@@ -4,9 +4,10 @@
  *
  * SDBP_HOT_PATH marks a function as part of the per-access fast
  * path: the code that runs for every simulated instruction and that
- * the sealed static-dispatch engine (DESIGN.md §12) promises is
+ * the engine (DESIGN.md §12) promises is
  *
- *   - free of virtual dispatch that cannot devirtualize,
+ *   - free of virtual dispatch beyond the LLC's policy and predictor
+ *     interfaces,
  *   - free of heap allocation and deallocation,
  *   - free of throw statements,
  *   - free of locks and non-relaxed atomics,
@@ -21,11 +22,11 @@
  *                            annotated function and rejects
  *                            violations at the source level;
  *   tools/hotpath_audit.py   disassembles the Release binaries and
- *                            proves the compiler delivered the
- *                            devirtualization (no indirect calls, no
- *                            operator new / __cxa_throw /
- *                            pthread_mutex references) that the
- *                            engine's ~1.5x speedup claims.
+ *                            proves what the compiler delivered:
+ *                            no operator new / __cxa_throw /
+ *                            pthread_mutex references, and no
+ *                            indirect calls beyond the counted LLC
+ *                            dispatch sites.
  *
  * The macro expands to GCC/Clang's `hot` attribute, so annotating a
  * function also nudges the optimizer to favor it in layout and

@@ -8,8 +8,8 @@
  * samples report valid=false, and start/stop/sample stay callable.
  *
  * Used at cell/phase granularity by the telemetry layer (obs spans +
- * run artifacts) — never per simulated access, so the sealed hot
- * path does not see a single counter read.
+ * run artifacts) — never per simulated access, so the hot path
+ * does not see a single counter read.
  */
 
 #ifndef SDBP_UTIL_PERF_COUNTERS_HH

@@ -5,12 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
 #include <memory>
 
 #include "cache/cache.hh"
 #include "cache/hierarchy.hh"
 #include "cache/lru.hh"
 #include "trace/access.hh"
+#include "util/rng.hh"
 
 namespace sdbp
 {
@@ -228,6 +231,157 @@ TEST(CacheTest, ConfigSizeBytes)
     cfg.numSets = 2048;
     cfg.assoc = 16;
     EXPECT_EQ(cfg.sizeBytes(), 2u * 1024 * 1024);
+}
+
+/** Associativities covering tiny, power-of-two and odd widths. */
+const std::uint32_t kWidths[] = {1, 2, 3, 4, 6, 8, 12, 16, 17};
+
+TEST(CacheTest, InvalidFrameNeverMatchesAProbe)
+{
+    // An invalid frame holds the all-ones kNoBlock tag.  No legal
+    // key may match it — not even the keys adjacent to the sentinel —
+    // whether the frame was never filled or was invalidated.
+    for (const std::uint32_t assoc : kWidths) {
+        auto cache = makeLruCache(4, assoc);
+        const Addr keys[] = {0, 1, SetView::kNoBlock - 1};
+        for (const Addr key : keys) {
+            EXPECT_EQ(cache->findWay(cache->setIndex(key), key), -1)
+                << "assoc=" << assoc << " key=" << key;
+            EXPECT_FALSE(cache->probe(key));
+        }
+        cache->fill(demand(8), 0);
+        ASSERT_TRUE(cache->probe(8));
+        cache->invalidate(8);
+        EXPECT_EQ(cache->findWay(cache->setIndex(8), 8), -1);
+        EXPECT_FALSE(cache->probe(8));
+    }
+}
+
+TEST(CacheTest, LruVictimIsTheFirstMinimumStamp)
+{
+    // The victim scan returns the first way holding the set's
+    // minimum stamp.  Stamps within a set are distinct, so that is
+    // the bottom of an explicit recency stack driven by the same
+    // promotions, fills and insertion-policy moves.
+    Rng rng(0x51D1);
+    for (const std::uint32_t assoc : kWidths) {
+        LruPolicy lru(1, assoc);
+        const SetView frames(nullptr, nullptr, assoc);
+        const Access a = demand(0);
+        std::list<std::uint32_t> stack; // front = MRU
+        for (std::uint32_t w = 0; w < assoc; ++w)
+            stack.push_back(w);
+        for (int iter = 0; iter < 2000; ++iter) {
+            const auto way =
+                static_cast<std::uint32_t>(rng.below(assoc));
+            const auto pos =
+                static_cast<std::uint32_t>(rng.below(assoc));
+            stack.remove(way);
+            switch (rng.below(3)) {
+              case 0:
+                lru.onAccess(0, static_cast<int>(way), frames, a);
+                stack.push_front(way);
+                break;
+              case 1:
+                lru.onFill(0, way, frames, a);
+                stack.push_front(way);
+                break;
+              default:
+                lru.moveTo(0, way, pos);
+                stack.insert(std::next(stack.begin(), pos), way);
+                break;
+            }
+            ASSERT_EQ(lru.victim(0, frames, a), stack.back())
+                << "assoc=" << assoc << " iter=" << iter;
+        }
+    }
+}
+
+// ---- Structure-of-arrays layout ----
+
+TEST(SoaLayoutTest, TagSentinelAgreesWithValidBit)
+{
+    CacheConfig cfg;
+    cfg.numSets = 16;
+    cfg.assoc = 4;
+    Cache cache(cfg, std::make_unique<LruPolicy>(16, 4));
+
+    Rng rng(42);
+    for (int i = 0; i < 5000; ++i) {
+        const Access a = Access::atBlock(rng.below(256), 0x400000);
+        if (!cache.access(a, static_cast<std::uint64_t>(i)))
+            cache.fill(a, static_cast<std::uint64_t>(i));
+        if (rng.chance(1, 50))
+            cache.invalidate(rng.below(256));
+    }
+
+    for (std::uint32_t set = 0; set < cfg.numSets; ++set) {
+        SetView frames = cache.frames(set);
+        for (std::uint32_t w = 0; w < cfg.assoc; ++w) {
+            if (frames.valid(w))
+                EXPECT_NE(frames.blockAddr(w), SetView::kNoBlock);
+            else
+                EXPECT_EQ(frames.blockAddr(w), SetView::kNoBlock);
+        }
+    }
+    cache.auditInvariants();
+}
+
+TEST(SoaLayoutTest, SetViewAgreesWithMaterializedBlocks)
+{
+    CacheConfig cfg;
+    cfg.numSets = 8;
+    cfg.assoc = 4;
+    Cache cache(cfg, std::make_unique<LruPolicy>(8, 4));
+
+    Rng rng(7);
+    for (int i = 0; i < 2000; ++i) {
+        Access a = Access::atBlock(rng.below(96), 0x400000);
+        a.isWrite = rng.chance(1, 4);
+        if (!cache.access(a, static_cast<std::uint64_t>(i)))
+            cache.fill(a, static_cast<std::uint64_t>(i));
+    }
+
+    for (std::uint32_t set = 0; set < cfg.numSets; ++set) {
+        SetView frames = cache.frames(set);
+        for (std::uint32_t w = 0; w < cfg.assoc; ++w) {
+            const CacheBlock blk = cache.blockAt(set, w);
+            EXPECT_EQ(frames.valid(w), blk.valid);
+            if (!blk.valid)
+                continue;
+            EXPECT_EQ(frames.blockAddr(w), blk.blockAddr);
+            EXPECT_EQ(frames.dirty(w), blk.dirty);
+            EXPECT_EQ(frames.predictedDead(w), blk.predictedDead);
+            EXPECT_EQ(cache.findWay(set, blk.blockAddr),
+                      static_cast<int>(w));
+            EXPECT_TRUE(cache.probe(blk.blockAddr));
+        }
+    }
+    cache.auditInvariants();
+}
+
+TEST(SoaLayoutTest, PredictedDeadBitRoundTripsThroughTheLane)
+{
+    CacheConfig cfg;
+    cfg.numSets = 4;
+    cfg.assoc = 2;
+    Cache cache(cfg, std::make_unique<LruPolicy>(4, 2));
+
+    const Access a = Access::atBlock(0x10);
+    cache.access(a, 0);
+    cache.fill(a, 0);
+    const std::uint32_t set = cache.setIndex(a.blockAddr());
+    SetView frames = cache.frames(set);
+    const int way = cache.findWay(set, a.blockAddr());
+    ASSERT_GE(way, 0);
+
+    frames.setPredictedDead(static_cast<std::uint32_t>(way), true);
+    EXPECT_TRUE(cache.blockAt(set, static_cast<std::uint32_t>(way))
+                    .predictedDead);
+    frames.setPredictedDead(static_cast<std::uint32_t>(way), false);
+    EXPECT_FALSE(cache.blockAt(set, static_cast<std::uint32_t>(way))
+                     .predictedDead);
+    cache.auditInvariants();
 }
 
 // ---- Hierarchy ----

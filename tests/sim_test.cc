@@ -6,13 +6,22 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cstdlib>
+#include <memory>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "cache/dip.hh"
 #include "cache/lru.hh"
 #include "cache/random_repl.hh"
 #include "cache/rrip.hh"
+#include "fault/fault_injector.hh"
+#include "sim/engine.hh"
 #include "sim/runner.hh"
+#include "trace/trace_source.hh"
+#include "util/stats.hh"
 
 namespace sdbp
 {
@@ -169,6 +178,154 @@ TEST(Runner, MulticoreResultHasPerThreadData)
     EXPECT_EQ(r.benchmarks.size(), 4u);
     EXPECT_GT(r.totalInstructions, 4u * 50000u - 1);
 }
+
+TEST(EngineTest, DbrbViewsPointIntoTheLlcStack)
+{
+    HierarchyConfig hcfg;
+    const Engine sampler =
+        makeEngine(PolicyKind::Sampler, hcfg, CoreConfig{});
+    ASSERT_NE(sampler.system, nullptr);
+    ASSERT_NE(sampler.dbrb, nullptr);
+    EXPECT_NE(sampler.predictor, nullptr);
+    EXPECT_EQ(&sampler.system->hierarchy().llc().policy(),
+              static_cast<const ReplacementPolicy *>(sampler.dbrb));
+
+    const Engine plru =
+        makeEngine(PolicyKind::TreePlru, hcfg, CoreConfig{});
+    ASSERT_NE(plru.system, nullptr);
+    EXPECT_EQ(plru.dbrb, nullptr);
+    EXPECT_EQ(plru.predictor, nullptr);
+}
+
+TEST(Runner, MulticoreMpkiCountsEveryMeasuredInstruction)
+{
+    // Unequal speeds: the fast programs finish first, restart and
+    // keep missing in the LLC until the slowest one completes.
+    RunConfig cfg = RunConfig::quadCore();
+    cfg.warmupInstructions = 20000;
+    cfg.measureInstructions = 50000;
+    MixProfile mix{"t", {"462.libquantum", "429.mcf", "416.gamess",
+                         "453.povray"}};
+    const auto r = runMulticore(mix, PolicyKind::Sampler, cfg);
+
+    // The same mix driven directly; the heartbeat fires at the start
+    // and at the end of the measured phase, so the difference of its
+    // ticks is every instruction the LLC misses were counted over.
+    Engine eng = makeEngine(PolicyKind::Sampler, cfg.hierarchy,
+                            cfg.core, cfg.policy);
+    std::vector<std::unique_ptr<AccessGenerator>> sources;
+    std::vector<AccessGenerator *> gens;
+    for (std::uint32_t c = 0; c < 4; ++c) {
+        sources.push_back(
+            makeTraceSource(cfg.trace, mix.benchmarks[c], c));
+        gens.push_back(sources.back().get());
+    }
+    std::vector<std::uint64_t> beats;
+    eng.system->setHeartbeat(
+        std::uint64_t{1} << 62,
+        [&beats](std::uint64_t tick) { beats.push_back(tick); });
+    eng.system->run(gens, cfg.warmupInstructions,
+                    cfg.measureInstructions);
+    ASSERT_EQ(beats.size(), 2u);
+    const std::uint64_t measured = beats.back() - beats.front();
+
+    EXPECT_EQ(r.llcMisses,
+              eng.system->hierarchy().llc().stats().demandMisses);
+    EXPECT_GT(measured, r.totalInstructions);
+    EXPECT_DOUBLE_EQ(r.mpki, 1000.0 * static_cast<double>(r.llcMisses) /
+                                 static_cast<double>(measured));
+}
+
+// ---- Runner path vs. a hand-composed stack ----
+//
+// runSingleCore wraps the engine in its run-time wiring: the
+// observability harness, the span profiler, the cell timeout and the
+// end-of-run predictor audit.  None of it may change a simulated
+// outcome.  The "fast" side is that full runner path with artifact
+// collection on; the "virtual" side is a bare System over the
+// ReplacementPolicy stack from makeBundle, driven directly with no
+// observer attached.  Every headline metric and the whole dbrb.*
+// accounting must be bit-identical, for every policy kind on two
+// benchmarks.
+
+using FastpathParam = std::tuple<PolicyKind, std::string>;
+
+class FastpathEquivalence
+    : public ::testing::TestWithParam<FastpathParam>
+{
+};
+
+TEST_P(FastpathEquivalence, FastAndVirtualPathsAreBitIdentical)
+{
+    const auto [kind, benchmark] = GetParam();
+
+    RunConfig cfg = RunConfig::singleCore();
+    cfg.warmupInstructions = 20'000;
+    cfg.measureInstructions = 60'000;
+    cfg.obs.collect = true;
+    cfg.obs.intervalInstructions = 20'000;
+
+    const RunResult fast = runSingleCore(benchmark, kind, cfg);
+    ASSERT_TRUE(fast.artifacts);
+
+    HierarchyConfig hcfg = cfg.hierarchy;
+    hcfg.numCores = 1;
+    hcfg.llc.trackEfficiency = cfg.trackEfficiency;
+    PolicyOptions popts = cfg.policy;
+    popts.numThreads = 1;
+    PolicyBundle b =
+        makeBundle(kind, hcfg.llc.numSets, hcfg.llc.assoc, popts);
+    DeadBlockPolicyBase *const dbrb = b.dbrb;
+    const fault::FaultInjector *const faults = b.faultInjector;
+    System sys(hcfg, cfg.core, std::move(b.policy));
+    const auto gen = makeTraceSource(cfg.trace, benchmark);
+    const std::vector<AccessGenerator *> gens = {gen.get()};
+    const auto threads = sys.run(gens, cfg.warmupInstructions,
+                                 cfg.measureInstructions);
+    ASSERT_EQ(threads.size(), 1u);
+    const CacheBase &llc = sys.hierarchy().llc();
+    sys.hierarchy().llc().finalizeEfficiency(sys.tick());
+
+    EXPECT_EQ(fast.instructions, threads[0].instructions);
+    EXPECT_EQ(fast.cycles, threads[0].cycles);
+    EXPECT_EQ(fast.ipc, threads[0].ipc);
+    EXPECT_EQ(fast.llcAccesses, llc.stats().demandAccesses);
+    EXPECT_EQ(fast.llcMisses, llc.stats().demandMisses);
+    EXPECT_EQ(fast.llcBypasses, llc.stats().bypasses);
+    EXPECT_EQ(fast.mpki, mpki(llc.stats().demandMisses,
+                              threads[0].instructions));
+    EXPECT_EQ(fast.llcEfficiency, llc.stats().efficiency());
+
+    ASSERT_EQ(fast.hasDbrb, dbrb != nullptr);
+    if (dbrb) {
+        const DbrbStats virt = dbrb->dbrbStats();
+        EXPECT_EQ(fast.dbrb.predictions, virt.predictions);
+        EXPECT_EQ(fast.dbrb.positives, virt.positives);
+        EXPECT_EQ(fast.dbrb.falsePositiveHits, virt.falsePositiveHits);
+        EXPECT_EQ(fast.dbrb.bypassReuses, virt.bypassReuses);
+        EXPECT_EQ(fast.dbrb.deadEvictions, virt.deadEvictions);
+        EXPECT_EQ(fast.dbrb.bypasses, virt.bypasses);
+        EXPECT_EQ(fast.faultsInjected,
+                  faults ? faults->injected() : 0u);
+    }
+}
+
+std::string
+fastpathParamName(const ::testing::TestParamInfo<FastpathParam> &info)
+{
+    std::string name = policyName(std::get<0>(info.param)) + "_" +
+                       std::get<1>(info.param);
+    for (char &c : name)
+        if (!std::isalnum(static_cast<unsigned char>(c)))
+            c = '_';
+    return name;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllPolicies, FastpathEquivalence,
+    ::testing::Combine(::testing::ValuesIn(allPolicyKinds()),
+                       ::testing::Values("456.hmmer", "429.mcf")),
+    fastpathParamName);
 
 } // anonymous namespace
 } // namespace sdbp

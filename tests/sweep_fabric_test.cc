@@ -16,6 +16,7 @@
 
 #include <csignal>
 #include <cstdlib>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -112,7 +113,7 @@ TEST(SweepFabric, ConfigJsonRoundTrip)
     cfg.measureInstructions = 56789;
     cfg.recordLlcTrace = true;
     cfg.trackEfficiency = true;
-    cfg.forceVirtualPath = true;
+    cfg.core.robSize = 96;
     cfg.hierarchy.llc.numSets = 1024;
     cfg.hierarchy.llc.assoc = 8;
     cfg.hierarchy.memLatency = 321;
@@ -131,7 +132,7 @@ TEST(SweepFabric, ConfigJsonRoundTrip)
     EXPECT_EQ(back.measureInstructions, cfg.measureInstructions);
     EXPECT_EQ(back.recordLlcTrace, cfg.recordLlcTrace);
     EXPECT_EQ(back.trackEfficiency, cfg.trackEfficiency);
-    EXPECT_EQ(back.forceVirtualPath, cfg.forceVirtualPath);
+    EXPECT_EQ(back.core.robSize, cfg.core.robSize);
     EXPECT_EQ(back.hierarchy.llc.numSets, cfg.hierarchy.llc.numSets);
     EXPECT_EQ(back.hierarchy.llc.assoc, cfg.hierarchy.llc.assoc);
     EXPECT_EQ(back.hierarchy.memLatency, cfg.hierarchy.memLatency);
@@ -213,6 +214,14 @@ struct ChaosCase
     bool crashed;
     int signal;
 };
+
+/** Print the mode, not the raw bytes: a pointer and padding would
+ *  make the listed test name differ from one process to the next. */
+void
+PrintTo(const ChaosCase &cc, std::ostream *os)
+{
+    *os << cc.mode;
+}
 
 class SweepFabricChaos : public testing::TestWithParam<ChaosCase>
 {
@@ -422,6 +431,60 @@ TEST(SweepFabric, SchemaV1ManifestStillReadable)
     sweep::SweepManifest again(path, "grid", {"a", "b"}, {"LRU"},
                                1000, 2000);
     EXPECT_EQ(again.loadCompleted(), 1u);
+    std::remove(path.c_str());
+    std::remove((path + ".lock").c_str());
+}
+
+TEST(SweepFabric, LegacyForceVirtualPathManifestResumes)
+{
+    // Manifests written before the single-engine simulator carry a
+    // "force_virtual_path" key in their worker config.  The key no
+    // longer selects anything; such a manifest must still load, and
+    // a resume must restore its completed cells and run the rest.
+    const RunConfig cfg = tinyConfig();
+    const std::vector<std::string> benchmarks = {twoBenchmarks()[0]};
+    const std::vector<PolicyKind> policies = {PolicyKind::Lru,
+                                              PolicyKind::Sampler};
+    const std::string path = manifestPath("legacy_force_virtual");
+
+    sweep::SweepOptions opts;
+    opts.workers = 2;
+    opts.manifestPath = path;
+    const sweep::Grid first =
+        sweep::runGrid(benchmarks, policies, cfg, opts);
+    ASSERT_TRUE(first.ok());
+
+    // Rewrite the checkpoint as an older build left it: the legacy
+    // key in the config, and the Sampler cell not yet run.
+    bool ok = false;
+    auto doc = obs::JsonValue::parse(util::readFile(path, &ok), nullptr);
+    ASSERT_TRUE(ok && doc.has_value());
+    ASSERT_NE(doc->find("config"), nullptr);
+    obs::JsonValue config = *doc->find("config");
+    config.set("force_virtual_path", true);
+    doc->set("config", config);
+    obs::JsonValue cells = obs::JsonValue::array();
+    for (std::size_t i = 0; i < doc->find("cells")->size(); ++i) {
+        obs::JsonValue cell = doc->find("cells")->at(i);
+        if (i == 1)
+            cell.set("status", "pending");
+        cells.push(cell);
+    }
+    doc->set("cells", cells);
+    ASSERT_TRUE(util::atomicWriteFile(path, doc->dump()));
+
+    const RunConfig legacy = sweep::runConfigFromJson(config);
+    EXPECT_EQ(legacy.warmupInstructions, cfg.warmupInstructions);
+    EXPECT_EQ(legacy.measureInstructions, cfg.measureInstructions);
+
+    opts.resume = true;
+    const sweep::Grid resumed =
+        sweep::runGrid(benchmarks, policies, cfg, opts);
+    ASSERT_TRUE(resumed.ok());
+    EXPECT_EQ(resumed.resumed, 1u);
+    for (std::size_t p = 0; p < policies.size(); ++p)
+        expectSameResult(resumed.at(0, p), first.at(0, p));
+
     std::remove(path.c_str());
     std::remove((path + ".lock").c_str());
 }

@@ -8,13 +8,14 @@ Usage:
         [--policy tools/hotpath_audit_policy.json] [--json out.json]
 
 Disassembles each Release binary with objdump, finds the audited
-symbols (the sealed BasicHierarchy/BasicCache compositions plus every
+symbols (the BasicHierarchy/BasicCache access roots plus every
 symbol matching the SDBP_HOT_PATH manifest emitted by
 tools/sdbp_lint/run.py), and walks the direct-call closure through
 sdbp:: code.  It fails if any audited symbol:
 
-  * performs an indirect call (vtable dispatch the sealed engine was
-    supposed to devirtualize, or a std::function),
+  * performs an indirect call (vtable dispatch or a std::function;
+    the LLC's policy and predictor dispatch sites are waived by
+    count),
   * calls an allocation routine (operator new, malloc, the libstdc++
     _M_allocate/_M_realloc/_M_rehash family),
   * raises (__cxa_throw / std::__throw_*),
@@ -25,8 +26,9 @@ Known cold-branch edges are waived individually in the policy file --
 each waiver names a symbol pattern, violation class, callee pattern,
 a maximum number of sites and a one-line reason, so a new `new` in a
 hot function still fails even when an old one is waived.  The policy
-also carries a self-check: the type-erased virtual-path symbol must
-contain at least one indirect call, proving the detector works.
+also carries a self-check: the LLC access symbol, which dispatches
+through the ReplacementPolicy interface, must contain at least one
+indirect call, proving the detector works.
 
 Source-level lint (tools/sdbp_lint) and this audit are two halves of
 one checker: the lint sees intent before inlining; this sees the
@@ -219,7 +221,7 @@ def apply_waivers(violations, waivers):
 
 
 def self_check(binaries, policy):
-    """The virtual-path symbol must show indirect calls -- otherwise
+    """The self-check symbol must show indirect calls -- otherwise
     the detector itself is broken and a green audit means nothing."""
     check = policy.get("self_check")
     if not check:
@@ -237,7 +239,7 @@ def self_check(binaries, policy):
                  "class": "audit", "callee": "",
                  "detail": f"self-check failed: expected >= "
                            f"{check.get('min_indirect', 1)} indirect "
-                           f"calls in the virtual-path symbol, found "
+                           f"calls in the self-check symbol, found "
                            f"{found} -- the indirect-call detector "
                            f"is not seeing dispatch"}]
     return []
@@ -300,8 +302,8 @@ def main(argv=None):
     if all_violations:
         print(f"hotpath-audit: {len(all_violations)} violation(s)")
         return 1
-    print("hotpath-audit: clean -- every audited symbol is flat "
-          "(no indirect dispatch, allocation, throw, lock or I/O)")
+    print("hotpath-audit: clean -- no unwaived indirect dispatch, "
+          "allocation, throw, lock or I/O in any audited symbol")
     return 0
 
 

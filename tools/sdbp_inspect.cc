@@ -166,13 +166,16 @@ splitList(const std::string &text)
     return out;
 }
 
+/**
+ * The single-run report.  IPC and MPKI are the run's measured-phase
+ * figures (RunResult), the same numbers a sweep row prints; the
+ * registry snapshot's sys.instructions also counts warm-up.
+ */
 void
-printSummary(const obs::RunArtifacts &art)
+printSummary(const RunResult &res)
 {
+    const obs::RunArtifacts &art = *res.artifacts;
     const auto &snap = art.finalSnapshot;
-    const double insts =
-        snap.value("sys.instructions",
-                   static_cast<double>(art.measureInstructions));
 
     TextTable t({"Metric", "Value"});
     t.row().cell("benchmark").cell(art.benchmark);
@@ -180,15 +183,9 @@ printSummary(const obs::RunArtifacts &art)
     t.row().cell("instructions (warmup+measure)")
         .cell(std::to_string(art.warmupInstructions) + "+" +
               std::to_string(art.measureInstructions));
-    if (snap.find("core0.cycles")) {
-        const double cycles = snap.value("core0.cycles");
-        t.row().cell("IPC").cell(
-            formatDouble(cycles > 0 ? insts / cycles : 0, 3));
-    }
+    t.row().cell("IPC").cell(formatDouble(res.ipc, 3));
     if (snap.find("llc.demand_misses")) {
-        const double misses = snap.value("llc.demand_misses");
-        t.row().cell("LLC MPKI").cell(formatDouble(
-            insts > 0 ? 1000.0 * misses / insts : 0, 3));
+        t.row().cell("LLC MPKI").cell(formatDouble(res.mpki, 3));
         t.row().cell("LLC demand accesses").cell(
             std::to_string(snap.counter("llc.demand_accesses")));
         t.row().cell("LLC demand misses").cell(
@@ -816,7 +813,7 @@ main(int argc, char **argv)
             std::cerr << "error: run produced no artifacts\n";
             return 1;
         }
-        printSummary(*res.artifacts);
+        printSummary(res);
 
         if (dump_stats) {
             std::cout << "\nFinal stats:\n";

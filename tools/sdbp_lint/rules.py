@@ -2,7 +2,7 @@
 
 Hot pack (``hot-*``) -- evaluated on every function reachable from an
 SDBP_HOT_PATH root through the intra-repo call graph.  These encode
-the fast-path contract documented in src/util/hotpath.hh: no
+the hot-path contract documented in src/util/hotpath.hh: no
 non-devirtualizable virtual dispatch, no heap allocation, no throw,
 no locks or non-relaxed atomics, no I/O.
 
@@ -80,8 +80,9 @@ def hot_violations(fn, devirt):
     `devirt` is the project-wide devirtualization oracle:
     devirt.is_final_somewhere(name) is True when some final class (or
     final method) provides `name`, making a virtual call to it
-    devirtualizable by the sealed compositions -- those calls are
-    allowed at source level and proven flat by the binary audit.
+    devirtualizable where that class is bound at compile time --
+    those calls are allowed at source level, and the binary audit
+    counts every dispatch site that survives compilation.
     """
     out = []
 

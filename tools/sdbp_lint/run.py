@@ -6,7 +6,7 @@ Usage:
            [--manifest out.json] [--update-baseline] [--min-hot N]
 
 Walks the call graph from every SDBP_HOT_PATH-annotated function and
-reports fast-path contract violations (hot-* rules), then sweeps every
+reports hot-path contract violations (hot-* rules), then sweeps every
 function in --src for determinism-hygiene violations (det-* rules).
 Violations can be suppressed inline with ``// sdbp-lint: allow(rule)``
 or collectively in the baseline file, which pairs every suppression
@@ -32,10 +32,11 @@ from rules import (ALL_RULES, Violation, det_violations,  # noqa: E402
 class DevirtOracle:
     """Project-wide answer to "can a virtual call to `name` be
     devirtualized?"  A name is devirtualizable when some final class
-    provides it (the sealed compositions instantiate those classes
-    directly) or when some override is itself marked final.  Calls to
-    such names are allowed at source level; the binary audit proves
-    the sealed symbols really compile flat."""
+    provides it (compile-time compositions such as the private
+    levels' BasicCache<LruPolicy> instantiate those classes directly)
+    or when some override is itself marked final.  Calls to such names
+    are allowed at source level; the binary audit counts every
+    dispatch site that survives compilation."""
 
     def __init__(self, files):
         self.virtuals = set()

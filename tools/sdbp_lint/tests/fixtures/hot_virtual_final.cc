@@ -1,6 +1,6 @@
 // Fixture: virtual call whose target has a final-class override, so
-// the sealed compositions devirtualize it; allowed at source level
-// (the binary audit proves the sealed symbol compiles flat).
+// a composition binding that class devirtualizes it; allowed at
+// source level (the binary audit counts the sites that survive).
 // Expect no violations.
 #define SDBP_HOT_PATH
 
